@@ -72,6 +72,7 @@ from repro.runtime.profile import (
 from repro.runtime.provider import resolve_backend
 from repro.runtime.retry import resolve_retry_policy
 from repro.runtime.scheduler import (
+    SPLIT_THRESHOLD_SECONDS,
     executor_kind_for,
     plan_chunk_shots,
     resolve_schedule_mode,
@@ -374,6 +375,8 @@ def execute(
     # model's measured prepare (transpile) estimate, most expensive first:
     # transpile-heavy jobs reach the pool while it is still filling, so
     # their parent-side lowering overlaps the cheap jobs' execution.
+    # Estimates below SPLIT_THRESHOLD_SECONDS count as zero: reordering on
+    # a millisecond lowering gains nothing and shuffles the batch on noise.
     # Dispatch order never changes counts or the returned job order.  The
     # shared pools outlive the call — no shutdown, no churn.
     def submit_rank(job: Job):
@@ -385,6 +388,8 @@ def execute(
                 )
                 or 0.0
             )
+        if prepare_estimate < SPLIT_THRESHOLD_SECONDS:
+            prepare_estimate = 0.0
         return (-job.priority, -prepare_estimate)
 
     for job in sorted(to_submit, key=submit_rank):

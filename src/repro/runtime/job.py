@@ -36,6 +36,7 @@ import enum
 import functools
 import itertools
 import os
+import queue
 import threading
 import time
 from concurrent.futures import (
@@ -493,16 +494,18 @@ class Job:
         return result
 
     def _prepare_for_fanout(self) -> Tuple["Backend", "QuantumCircuit"]:
-        """Transpile once in the parent before process fan-out.
+        """Transpile once in the parent before fanning chunks out.
 
-        A process-pool worker unpickles a backend whose explicit
+        Left to the chunk tasks, lowering would run once per chunk: a
+        process-pool worker unpickles a backend whose explicit
         :class:`~repro.runtime.cache.TranspileCache` ships configuration,
-        not contents — so without this step every chunk task re-lowers the
-        circuit from scratch.  Instead the parent runs ``prepare()`` once
-        (through the cache) and ships the *prepared* circuit with a
-        transpile-disabled copy of the backend: the workers execute exactly
-        the circuit a direct ``run()`` would have, so counts are untouched,
-        and the measured prepare cost feeds the cost model.
+        not contents, and concurrent pool threads all miss the shared
+        cache before the first of them fills it.  Instead the parent runs
+        ``prepare()`` once (through the cache) and ships the *prepared*
+        circuit with a transpile-disabled copy of the backend, whatever
+        the executor kind: the chunks execute exactly the circuit a direct
+        ``run()`` would have, so counts are untouched, and the measured
+        prepare cost feeds the cost model.
 
         Any ``prepare()`` failure falls back to shipping the original pair
         so the error keeps surfacing through the job's future (the
@@ -523,14 +526,17 @@ class Job:
             cache = DEFAULT_CACHE
         misses_before = getattr(cache, "misses", None)
         span = self._span.child("prepare") if self._span is not None else None
-        start = time.perf_counter()
+        # This thread's CPU time, not wall-clock: lowering is pure Python,
+        # and a wall-clock taken while pool threads run earlier chunks
+        # measures their hold on the GIL (tens of ms for a 2 ms lowering).
+        start = time.thread_time()
         try:
             prepared = prepare(self.circuit)
         except Exception:
             if span is not None:
                 span.finish().set(error=True)
             return self.backend, self.circuit
-        elapsed = time.perf_counter() - start
+        elapsed = time.thread_time() - start
         lowered = (
             True
             if misses_before is None  # cache=False: every prepare is real
@@ -553,8 +559,8 @@ class Job:
         invisible to collection: ``self._futures`` never changes after
         submit.  Tasks are the picklable module-level
         :func:`_execute_chunk`, so any executor kind — serial, thread or
-        process — can run them.  Process fan-out ships a
-        parent-side-prepared circuit (see :meth:`_prepare_for_fanout`).
+        process — can run them, and every kind ships a parent-side-prepared
+        circuit (see :meth:`_prepare_for_fanout`).
         On a distribution-cache miss, a done-callback on the first chunk
         publishes the distribution at *completion* time — a chunked job's
         merged distribution is exactly its first chunk's — so overlapping
@@ -566,9 +572,7 @@ class Job:
         from repro.runtime.pool import executor_kind
 
         kind = executor_kind(executor)
-        backend, circuit = self.backend, self.circuit
-        if kind == "process":
-            backend, circuit = self._prepare_for_fanout()
+        backend, circuit = self._prepare_for_fanout()
         runs: List[_ChunkRun] = []
         for index, (shots, seed) in enumerate(self.chunk_plan()):
             span = ctx = None
@@ -1026,8 +1030,11 @@ class JobSet:
         once**, whatever its terminal state — callers see cancelled and
         failed jobs too (their ``result()`` raises
         :class:`~repro.exceptions.JobError`), so the stream never silently
-        drops work.  Derived and distribution-cached jobs surface as soon
-        as their source is settled.
+        drops work.  Jobs arrive through :meth:`Job.add_done_callback`, so
+        a job is yielded once none of its chunks is still running: a
+        cancelled job whose sibling chunk had already started surfaces
+        after that chunk settles, and derived and distribution-cached jobs
+        surface as soon as their source is settled.
 
         Raises
         ------
@@ -1037,33 +1044,19 @@ class JobSet:
             collectable individually.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        pending = list(self.jobs)
-        # Exponential poll backoff: snappy while jobs finish quickly, near
-        # zero CPU while long engine runs are in flight (a poll is the only
-        # mechanism that also covers derived/cached jobs, which settle with
-        # their source rather than with a future of their own).
-        delay = 0.001
-        while pending:
-            still_pending = []
-            progressed = False
-            for job in pending:
-                if job.done():
-                    progressed = True
-                    yield job
-                else:
-                    still_pending.append(job)
-            pending = still_pending
-            if not pending:
-                return
-            if deadline is not None and time.monotonic() > deadline:
+        finished: "queue.Queue[Job]" = queue.Queue()
+        for job in self.jobs:
+            job.add_done_callback(finished.put)
+        for pending in range(len(self.jobs), 0, -1):
+            remaining = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+            try:
+                yield finished.get(timeout=remaining)
+            except queue.Empty:
                 raise JobError(
-                    f"{len(pending)} job(s) still pending after {timeout}s"
-                )
-            if progressed:
-                delay = 0.001
-            else:
-                time.sleep(delay)
-                delay = min(delay * 2, 0.05)
+                    f"{pending} job(s) still pending after {timeout}s"
+                ) from None
 
     @property
     def time_taken(self) -> float:

@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, Optional
 from repro.exceptions import CircuitOpen, JobError, QueueTimeout
 from repro.obs.trace import Span, tracing_enabled
 from repro.runtime.breaker import CircuitBreaker
+from repro.runtime.job import JobStatus
 from repro.runtime.profile import DEFAULT_COST_MODEL, CostModel, profile_key
 from repro.runtime.pool import default_max_workers
 
@@ -244,12 +245,40 @@ DEADLINE_ACTIONS = ("drop", "reprioritize")
 _URGENT_RANK = -math.inf
 
 
+class _SettleOnce:
+    """A settle-once callback list: :meth:`fire` calls every registered
+    ``fn(arg)`` exactly once, and later registrations fire immediately."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._callbacks: List[Callable] = []
+        #: Set once :meth:`fire` ran; waitable.
+        self.event = threading.Event()
+
+    def add(self, fn: Callable, arg) -> None:
+        with self._lock:
+            if not self.event.is_set():
+                self._callbacks.append(fn)
+                return
+        fn(arg)
+
+    def fire(self, arg) -> None:
+        with self._lock:
+            self.event.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn(arg)
+
+
 class ScheduledBatch:
     """One client's submission, in the scheduler's hands.
 
     Returned immediately by :meth:`Scheduler.submit`; the underlying
     :class:`~repro.runtime.job.JobSet` exists only once the fair-share
     dispatcher admits the batch.  Collection blocks until then.
+
+    The batch settles exactly once, with one terminal outcome that every
+    reader (``status()``, the scheduler's breakers, the service) shares.
     """
 
     def __init__(
@@ -287,14 +316,13 @@ class ScheduledBatch:
         self._scheduler = scheduler
         #: Breaker key this batch's outcome reports to (``None`` = ungated).
         self._breaker_key: Optional[str] = None
-        self._dispatched = threading.Event()
         self._jobset = None
         self._error: Optional[BaseException] = None
-        self._cancelled = False
+        #: The terminal status, set once when the batch settles.
+        self._outcome: Optional[str] = None
         self._boosted = False
-        self._callback_lock = threading.Lock()
-        self._callbacks: List[Callable] = []
-        self._settled = False
+        self._left_queue = _SettleOnce()
+        self._settled = _SettleOnce()
 
     # -- scheduler-internal ---------------------------------------------
 
@@ -302,20 +330,22 @@ class ScheduledBatch:
         self.dispatched_at = time.monotonic()
         self._finish_queue_span()
         self._jobset = jobset
-        self._dispatched.set()
-        self._fire_callbacks()
+        self._left_queue.fire(self)
 
-    def _mark_failed(self, error: BaseException) -> None:
+    def _mark_unrun(self, outcome: str,
+                    error: Optional[BaseException] = None) -> None:
+        """Settle a batch that never ran: dispatch failure, deadline drop
+        or queue-side cancel."""
         self._error = error
-        self._finish_queue_span(outcome=type(error).__name__)
-        self._dispatched.set()
-        self._fire_callbacks()
+        self._finish_queue_span(
+            outcome=outcome if error is None else type(error).__name__
+        )
+        self._settle(outcome)
 
-    def _mark_cancelled(self) -> None:
-        self._cancelled = True
-        self._finish_queue_span(outcome="cancelled")
-        self._dispatched.set()
-        self._fire_callbacks()
+    def _settle(self, outcome: str) -> None:
+        self._outcome = outcome
+        self._left_queue.fire(self)
+        self._settled.fire(self)
 
     def _finish_queue_span(self, outcome: Optional[str] = None) -> None:
         span = self._trace_queue_span
@@ -323,13 +353,6 @@ class ScheduledBatch:
             if span.end_s is None and outcome is not None:
                 span.set(outcome=outcome)
             span.finish()
-
-    def _fire_callbacks(self) -> None:
-        with self._callback_lock:
-            self._settled = True
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
 
     # -- client surface -------------------------------------------------
 
@@ -343,16 +366,25 @@ class ScheduledBatch:
         back into the scheduler (an async front-end typically just
         schedules a loop callback; see :mod:`repro.service`).
         """
-        with self._callback_lock:
-            if not self._settled:
-                self._callbacks.append(fn)
-                return
-        fn(self)
+        self._left_queue.add(fn, self)
+
+    def add_done_callback(self, fn: Callable) -> None:
+        """Call ``fn(batch)`` once the batch settles.
+
+        Fires exactly once — when the last job completes, fails or is
+        cancelled, or on a queue-side terminal state — or immediately
+        when the batch already settled.  By then the scheduler has retired
+        the batch (its in-flight load released, its breaker outcome
+        recorded) and :meth:`status` reports the final outcome.  The same
+        rules as :meth:`add_dispatch_callback` apply: quick, and no calls
+        back into the scheduler's blocking API.
+        """
+        self._settled.add(fn, self)
 
     @property
     def dispatched(self) -> bool:
         """Return ``True`` once the batch has left the queue (or failed)."""
-        return self._dispatched.is_set()
+        return self._left_queue.event.is_set()
 
     def wait_time(self) -> float:
         """Return seconds spent in the queue (so far, or until dispatch)."""
@@ -365,18 +397,14 @@ class ScheduledBatch:
 
     def status(self) -> str:
         """Return ``"queued"``, ``"running"``, ``"done"``, ``"failed"``,
-        ``"dropped"`` (queue deadline expired) or ``"cancelled"``."""
-        if self._cancelled:
-            return _BATCH_CANCELLED
-        if not self._dispatched.is_set():
-            return _BATCH_QUEUED
-        if self._error is not None:
-            return (
-                _BATCH_DROPPED
-                if isinstance(self._error, QueueTimeout)
-                else _BATCH_FAILED
-            )
-        return _BATCH_DONE if self._jobset.done() else _BATCH_RUNNING
+        ``"dropped"`` (queue deadline expired) or ``"cancelled"``.
+
+        A dispatched batch settles as ``"failed"`` when any job raised,
+        else ``"cancelled"`` when any job was cancelled, else ``"done"``.
+        """
+        if self._outcome is not None:
+            return self._outcome
+        return _BATCH_RUNNING if self.dispatched else _BATCH_QUEUED
 
     def cancel(self) -> bool:
         """Cancel the batch: dequeue it while queued, else cancel its jobs.
@@ -405,7 +433,7 @@ class ScheduledBatch:
         JobError
             When the batch was cancelled or failed to dispatch.
         """
-        if not self._dispatched.wait(timeout):
+        if not self._left_queue.event.wait(timeout):
             waited = self.wait_time()
             position, queued = None, 0
             if self._scheduler is not None:
@@ -423,30 +451,33 @@ class ScheduledBatch:
                 queue_position=position,
                 queued_batches=queued,
             )
-        if self._cancelled:
+        if self._jobset is not None:
+            return self._jobset
+        if self._error is None:
             raise JobError(f"batch for client {self.client!r} was cancelled")
-        if self._error is not None:
-            if isinstance(self._error, QueueTimeout):
-                raise self._error  # deadline drop: surface the typed error
-            raise JobError(
-                f"batch for client {self.client!r} failed to dispatch: {self._error}"
-            ) from self._error
-        return self._jobset
+        if isinstance(self._error, QueueTimeout):
+            raise self._error  # deadline drop: surface the typed error
+        raise JobError(
+            f"batch for client {self.client!r} failed to dispatch: {self._error}"
+        ) from self._error
 
     def result(self, timeout: Optional[float] = None):
         """Block for dispatch *and* completion; return the results in order.
 
         ``timeout`` is one deadline covering both waits — time spent in
-        the queue is not granted again to collection.
+        the queue is not granted again to collection.  Returns once the
+        batch has settled, so :meth:`status` already reports ``"done"``.
         """
-        import time
-
         deadline = None if timeout is None else time.monotonic() + timeout
-        jobset = self.jobs(timeout)
-        remaining = (
-            None if deadline is None else max(0.0, deadline - time.monotonic())
-        )
-        return jobset.result(timeout=remaining)
+
+        def remaining():
+            return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+        results = self.jobs(timeout).result(timeout=remaining())
+        # Every chunk has finished; the settle callback is already on its
+        # way on the thread that finished the last one.
+        self._settled.event.wait(remaining())
+        return results
 
     def counts(self, timeout: Optional[float] = None):
         """Shorthand for ``[r.counts for r in batch.result()]`` (one shared
@@ -456,12 +487,7 @@ class ScheduledBatch:
     def done(self) -> bool:
         """Return ``True`` once the batch is settled: every job finished,
         or the batch failed, was dropped, or was cancelled in the queue."""
-        return self.status() in (
-            _BATCH_DONE,
-            _BATCH_FAILED,
-            _BATCH_DROPPED,
-            _BATCH_CANCELLED,
-        )
+        return self._outcome is not None
 
     def __repr__(self) -> str:
         return (
@@ -494,7 +520,7 @@ class _ClientState:
             "completed_jobs": 0,
         }
 
-    def _retire(self, batch: "ScheduledBatch") -> None:
+    def retire(self, batch: "ScheduledBatch") -> None:
         """Jobs that will never run still count as settled — submitted vs
         completed must keep reconciling."""
         self.stats["completed_batches"] += 1
@@ -502,21 +528,21 @@ class _ClientState:
 
     def record_failure(self, batch: "ScheduledBatch", error) -> None:
         """Retire ``batch`` as failed (dispatch error)."""
-        self._retire(batch)
+        self.retire(batch)
         self.stats["failed_batches"] += 1
-        batch._mark_failed(error)
+        batch._mark_unrun(_BATCH_FAILED, error)
 
     def record_dropped(self, batch: "ScheduledBatch", error: QueueTimeout) -> None:
         """Retire ``batch`` as dropped (queue deadline expired)."""
-        self._retire(batch)
+        self.retire(batch)
         self.stats["dropped_batches"] += 1
-        batch._mark_failed(error)
+        batch._mark_unrun(_BATCH_DROPPED, error)
 
     def record_cancelled(self, batch: "ScheduledBatch") -> None:
         """Retire ``batch`` as cancelled while still queued."""
-        self._retire(batch)
+        self.retire(batch)
         self.stats["cancelled_batches"] += 1
-        batch._mark_cancelled()
+        batch._mark_unrun(_BATCH_CANCELLED)
 
 
 class Scheduler:
@@ -597,7 +623,6 @@ class Scheduler:
         executor: Optional[str] = None,
         max_workers: Optional[int] = None,
         schedule: Optional[str] = None,
-        poll_interval: float = 0.002,
         require_registration: bool = False,
         preempt_after: Optional[float] = None,
         width_planning: bool = False,
@@ -632,7 +657,6 @@ class Scheduler:
                 f"knobs, got {breaker!r}"
             )
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._poll_interval = float(poll_interval)
         self._lock = threading.Condition()
         self._clients: Dict[str, _ClientState] = {}
         self._round: List[str] = []  # remaining WRR slots of the current round
@@ -995,25 +1019,47 @@ class Scheduler:
             )
         self._lock.acquire()
         batch._mark_dispatched(jobset)
+        self._watch(batch)
 
-    def _reap_completed(self) -> bool:
-        """Retire finished in-flight batches (caller holds the lock)."""
-        finished = [
-            b for b in self._in_flight if b._jobset is not None and b._jobset.done()
-        ]
-        for batch in finished:
-            self._in_flight.remove(batch)
-            self._in_flight_jobs -= batch.size
-            state = self._clients[batch.client]
-            state.stats["completed_batches"] += 1
-            state.stats["completed_jobs"] += batch.size
-            if batch._breaker_key is not None:
-                from repro.runtime.job import JobStatus
+    def _watch(self, batch: ScheduledBatch) -> None:
+        """Settle ``batch`` when its last job does (caller holds the lock).
 
-                statuses = batch._jobset.statuses()
-                success = not any(s is JobStatus.ERROR for s in statuses)
-                self._record_breaker_outcome(batch, success)
-        return bool(finished)
+        One countdown over the jobs' done callbacks, which cover derived
+        and distribution-cached jobs too.  Callbacks fire inline for jobs
+        that already finished (always, under the serial executor); the
+        condition's re-entrant lock makes that safe.
+        """
+        jobs = batch._jobset.jobs
+        left = len(jobs)
+
+        def job_settled(_job) -> None:
+            nonlocal left
+            with self._lock:
+                left -= 1
+                if left == 0:
+                    self._retire_batch(batch)
+
+        if not jobs:
+            self._retire_batch(batch)
+        for job in jobs:
+            job.add_done_callback(job_settled)
+
+    def _retire_batch(self, batch: ScheduledBatch) -> None:
+        """Retire a dispatched batch whose jobs all settled, record its
+        one outcome and fire its done callbacks (caller holds the lock)."""
+        self._in_flight.remove(batch)
+        self._in_flight_jobs -= batch.size
+        self._clients[batch.client].retire(batch)
+        statuses = batch._jobset.statuses()
+        if JobStatus.ERROR in statuses:
+            outcome = _BATCH_FAILED
+        elif JobStatus.CANCELLED in statuses:
+            outcome = _BATCH_CANCELLED
+        else:
+            outcome = _BATCH_DONE
+        self._record_breaker_outcome(batch, success=outcome != _BATCH_FAILED)
+        self._lock.notify_all()
+        batch._settle(outcome)
 
     def _apply_queue_policies(self) -> bool:
         """Enforce deadlines and preemption on queued batches (holds lock).
@@ -1074,11 +1120,26 @@ class Scheduler:
             state.pending[:] = retained
         return changed
 
+    def _next_expiry(self) -> Optional[float]:
+        """Seconds until a queued batch's deadline or ``preempt_after``
+        falls due, or ``None`` when none can (caller holds the lock)."""
+        due = []
+        for state in self._clients.values():
+            for _entry, batch in state.pending:
+                if batch.deadline is not None and (
+                    batch.deadline_action == "drop" or not batch._boosted
+                ):
+                    due.append(batch.submitted_at + batch.deadline)
+                if self.preempt_after is not None and not batch._boosted:
+                    due.append(batch.submitted_at + self.preempt_after)
+        if not due:
+            return None
+        return max(0.0, min(due) - time.monotonic())
+
     def _dispatch_loop(self) -> None:
         with self._lock:
             while True:
-                progressed = self._reap_completed()
-                progressed |= self._apply_queue_policies()
+                progressed = self._apply_queue_policies()
                 while True:
                     state = self._next_slot()
                     if state is None:
@@ -1095,12 +1156,9 @@ class Scheduler:
                     self._lock.notify_all()
                 if self._closed and not self._in_flight and not self._has_pending():
                     return
-                if self._in_flight:
-                    # Completion has no callback that covers derived jobs;
-                    # poll like JobSet.as_completed does.
-                    self._lock.wait(self._poll_interval)
-                else:
-                    self._lock.wait(0.2 if self._closed else None)
+                # Submissions, settling batches, cancels and shutdown all
+                # notify; only a queue policy falling due needs a timer.
+                self._lock.wait(self._next_expiry())
 
     def _has_pending(self) -> bool:
         return any(state.pending for state in self._clients.values())
@@ -1185,22 +1243,10 @@ class Scheduler:
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until nothing is queued or in flight; ``False`` on timeout."""
-        import time
-
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            while self._has_pending() or self._in_flight:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._lock.wait(
-                    self._poll_interval
-                    if self._in_flight
-                    else remaining
-                )
-            return True
+            return self._lock.wait_for(
+                lambda: not self._in_flight and not self._has_pending(), timeout
+            )
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting work; drain (``wait=True``) or cancel the queue.

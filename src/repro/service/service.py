@@ -21,8 +21,8 @@ concurrent (async) clients talk to through four calls::
 Design rules:
 
 * **Never block the event loop.**  Submission is admission-control math
-  plus a queue insert; completion is bridged from the executor futures by
-  callbacks (:meth:`Job.add_done_callback` →
+  plus a queue insert; completion is bridged from the scheduler by the
+  batch's done-callback (:meth:`ScheduledBatch.add_done_callback` →
   ``loop.call_soon_threadsafe``), not by polling threads; result
   *collection* (which may merge chunks or lazily re-run a derived job)
   runs in the loop's default thread pool.
@@ -267,8 +267,8 @@ class ServiceJob:
         (their ``result()`` raises), so the stream never drops work.
 
         The async counterpart of
-        :meth:`repro.runtime.job.JobSet.as_completed`, driven by future
-        done-callbacks instead of a polling thread.
+        :meth:`repro.runtime.job.JobSet.as_completed`, driven by the same
+        job done-callbacks.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         jobset = await self.jobs(timeout)
@@ -963,9 +963,8 @@ class RuntimeService:
     # ------------------------------------------------------------------
 
     def _on_left_queue(self, handle: ServiceJob) -> None:
-        """The handle's batch left the queue: record latency, arm
-        completion callbacks (or settle immediately on a queue-side
-        terminal state)."""
+        """The handle's batch left the queue: record latency and settle
+        the handle once the batch settles."""
         handle._dispatched.set()
         batch = handle.batch
         if batch.dispatched_at is not None:
@@ -975,27 +974,9 @@ class RuntimeService:
             state = self._clients.get(handle.client)
             if state is not None:
                 state.stats.queue_latency.add(wait)
-        status = batch.status()
-        if status in ("failed", "dropped", "cancelled"):
-            self._settle(handle)
-            return
-        jobset = batch._jobset
-        remaining = len(jobset.jobs)
-        if remaining == 0:
-            self._settle(handle)
-            return
-        countdown = {"left": remaining}
-        lock = threading.Lock()
-
-        def job_done(_job) -> None:
-            with lock:
-                countdown["left"] -= 1
-                if countdown["left"]:
-                    return
-            self._post(handle._loop, self._settle, handle)
-
-        for job in jobset:
-            job.add_done_callback(job_done)
+        batch.add_done_callback(
+            lambda _batch: self._post(handle._loop, self._settle, handle)
+        )
 
     def _settle(self, handle: ServiceJob) -> None:
         """Terminal bookkeeping; runs on the loop exactly once per handle."""
@@ -1013,25 +994,12 @@ class RuntimeService:
         if state is not None:
             with self._lock:
                 state.in_flight_jobs -= handle.size
-            if status == "dropped":
-                state.stats.bump("dropped_batches")
-            elif status == "cancelled":
-                state.stats.bump("cancelled_batches")
-            elif status == "failed":
-                state.stats.bump("failed_batches")
+            if status == "done":
+                state.stats.bump("completed_batches")
+                state.stats.bump("completed_jobs", handle.size)
+                self._completions.tick(handle.size)
             else:
-                from repro.runtime.job import JobStatus
-
-                jobset = handle.batch._jobset
-                statuses = jobset.statuses()
-                if any(s is JobStatus.ERROR for s in statuses):
-                    state.stats.bump("failed_batches")
-                elif any(s is JobStatus.CANCELLED for s in statuses):
-                    state.stats.bump("cancelled_batches")
-                else:
-                    state.stats.bump("completed_batches")
-                    state.stats.bump("completed_jobs", handle.size)
-                    self._completions.tick(handle.size)
+                state.stats.bump(f"{status}_batches")
             if state.condition is not None:
                 # Wake over-quota waiters; we are already on the loop.
                 asyncio.ensure_future(self._notify(state.condition))
@@ -1073,43 +1041,33 @@ class RuntimeService:
         """Journal a handle's terminal outcome and charge its ledger.
 
         Runs in the loop's default executor: collecting results (chunk
-        merging) and the store writes both block.  Mirrors the status
-        logic of :meth:`_settle`; never raises — durability bookkeeping
-        must not take the service down — but never *swallows* either: a
-        failed journal write means recovery will re-run this job, a
-        failed ledger charge under-bills the tenant, so each failure is
-        counted (``stats()["settlement_errors"]``) and logged once per
-        failure class via :meth:`_note_settlement_error`.
+        merging) and the store writes both block.  Reads the batch's one
+        outcome, as :meth:`_settle` does.  Never raises — durability
+        bookkeeping must not take the service down — but never *swallows*
+        either: a failed journal write means recovery will re-run this
+        job, a failed ledger charge under-bills the tenant, so each
+        failure is counted (``stats()["settlement_errors"]``) and logged
+        once per failure class via :meth:`_note_settlement_error`.
         """
-        try:
-            status = handle.batch.status()
-            counts = shots_out = error = None
-            if status in ("failed", "dropped", "cancelled"):
-                terminal = status
-                error = handle.batch._error
-            else:
-                from repro.runtime.job import JobStatus
-
-                jobset = handle.batch._jobset
-                statuses = jobset.statuses()
-                if any(s is JobStatus.ERROR for s in statuses):
-                    terminal = "failed"
-                    error = next(
-                        (job._error for job in jobset.jobs
-                         if job._error is not None),
-                        None,
-                    )
-                elif any(s is JobStatus.CANCELLED for s in statuses):
-                    terminal = "cancelled"
-                else:
-                    terminal = "done"
-                    results = jobset.result()
-                    counts = [dict(r.counts) for r in results]
-                    shots_out = [r.shots for r in results]
-        except Exception as exc:
-            self._note_settlement_error("collect", handle, exc)
-            self._finalize_trace(handle, handle.batch.status())
-            return
+        batch = handle.batch
+        terminal = batch.status()
+        counts = shots_out = None
+        error = batch._error
+        if terminal == "failed" and error is None:
+            # A job raised: journal the first error a collector surfaced.
+            error = next(
+                (job._error for job in batch._jobset if job._error is not None),
+                None,
+            )
+        if terminal == "done":
+            try:
+                results = batch._jobset.result()
+            except Exception as exc:
+                self._note_settlement_error("collect", handle, exc)
+                self._finalize_trace(handle, terminal)
+                return
+            counts = [dict(r.counts) for r in results]
+            shots_out = [r.shots for r in results]
         trace = self._finalize_trace(handle, terminal)
         if self.journal is not None:
             try:

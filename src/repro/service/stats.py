@@ -19,11 +19,7 @@ import time
 from collections import deque
 from typing import Dict, Optional
 
-
-def _nearest_rank(samples, percent: float) -> float:
-    """Nearest-rank percentile over an already-sorted non-empty sample list."""
-    rank = max(1, math.ceil(percent / 100.0 * len(samples)))
-    return samples[min(rank, len(samples)) - 1]
+from repro.obs.metrics import _nearest_rank
 
 
 class LatencyWindow:
@@ -69,7 +65,7 @@ class LatencyWindow:
             samples = sorted(self._samples)
         if not samples:
             return None
-        return _nearest_rank(samples, percent)
+        return _nearest_rank(samples, percent / 100.0)
 
     def snapshot(self) -> dict:
         """Return ``{window_count, total_count, mean_s, p50_s, p99_s,
@@ -85,8 +81,8 @@ class LatencyWindow:
             "window_count": len(samples),
             "total_count": total,
             "mean_s": sum(samples) / len(samples),
-            "p50_s": _nearest_rank(samples, 50.0),
-            "p99_s": _nearest_rank(samples, 99.0),
+            "p50_s": _nearest_rank(samples, 0.50),
+            "p99_s": _nearest_rank(samples, 0.99),
             "max_s": maximum,
         }
 

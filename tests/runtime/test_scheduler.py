@@ -335,13 +335,15 @@ class TestParentSidePrepare:
         assert pooled == dict(reference.counts())
 
     @needs_fork
-    def test_thread_fanout_still_counts_one(self, tmp_path):
-        """Thread pools share the cache, so one lowering there too."""
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_thread_fanout_still_counts_one(self, tmp_path, executor):
+        """In-process chunks are prepared in the parent too, so concurrent
+        pool threads never race to lower the same circuit."""
         counter = tmp_path / "transpiles"
         counter.touch()
         backend = NoisyDeviceBackend(ibmqx4(), cache=CountingTranspileCache(counter))
         execute(measured_bell(), backend, shots=256, seed=3, chunk_shots=64,
-                executor="thread").result()
+                executor=executor).result()
         assert counter.read_bytes() == b"x"
 
     def test_prepare_failure_surfaces_at_collection(self):
@@ -692,6 +694,88 @@ class TestSchedulerFairShare:
                 scheduler.client("a", weight=0)
         finally:
             scheduler.shutdown()
+
+
+class RaisingBackend(Backend):
+    name = "raiser"
+
+    def run(self, circuit, shots=1024, seed=None):
+        raise RuntimeError("hardware on fire")
+
+
+class TestBatchSettlement:
+    """A dispatched batch settles by callback, once, with one outcome."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize(
+        "backend, outcome, failures",
+        [(RecordingBackend([]), "done", 0.0), (RaisingBackend(), "failed", 1.0)],
+    )
+    def test_done_callback_sees_batch_retired(self, executor, backend,
+                                              outcome, failures):
+        seen = []
+        settled = threading.Event()
+        with Scheduler(executor=executor) as scheduler:
+
+            def on_done(batch):
+                stats = scheduler.stats()
+                seen.append((batch.status(), stats["in_flight_batches"],
+                             stats["breakers"][backend.name]))
+                settled.set()
+
+            batch = scheduler.submit(named_circuit("c"), backend, shots=4,
+                                     client="a", retry=False)
+            batch.add_done_callback(on_done)
+            assert settled.wait(30)
+            late = []
+            batch.add_done_callback(late.append)  # settled: fires inline
+        assert late == [batch]
+        [(status, in_flight, breaker)] = seen
+        assert status == outcome
+        assert in_flight == 0
+        assert breaker["window_count"] == 1
+        assert breaker["failure_rate"] == failures
+
+    def test_concurrent_batches_each_settle_once(self):
+        """Many submitters, more pool threads than cores and a short switch
+        interval: every batch settles exactly once, and the in-flight
+        accounting (one countdown per batch) loses no update."""
+        import sys
+
+        settled = []
+        backend = RecordingBackend([])
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Scheduler(executor="thread", max_workers=4,
+                           max_in_flight=6) as scheduler:
+
+                def submitter(client):
+                    for i in range(10):
+                        # Two identical circuits: the second is a derived
+                        # job that settles with its source.
+                        circuits = [named_circuit("twin"), named_circuit("twin"),
+                                    named_circuit(f"{client}{i}")]
+                        batch = scheduler.submit(circuits, backend, shots=2,
+                                                 client=client)
+                        batch.add_done_callback(settled.append)
+
+                threads = [threading.Thread(target=submitter, args=(c,))
+                           for c in "abcd"]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert scheduler.wait_idle(timeout=60)
+                stats = scheduler.stats()
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(settled) == len(set(map(id, settled))) == 40
+        assert all(batch.status() == "done" for batch in settled)
+        assert stats["in_flight_batches"] == stats["in_flight_jobs"] == 0
+        for client in "abcd":
+            assert stats["clients"][client]["completed_jobs"] == 30
 
 
 # ----------------------------------------------------------------------

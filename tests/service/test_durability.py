@@ -229,3 +229,59 @@ def test_single_torn_record_spares_the_rest(tmp_path):
         second_life["jobs"][first_life["second"]["id"]]["counts"]
         == first_life["second"]["counts"]
     )
+
+
+#: Life 1 of the status test: a job whose backend raises settles, and the
+#: live handle reports the outcome the journal records.
+_FAILING_LIFE = """
+import asyncio, json
+from repro.circuits import library
+from repro.devices.backend import Backend
+from repro.service import RuntimeService
+
+class FailingBackend(Backend):
+    name = "faulty"
+
+    def run(self, circuit, shots=1024, seed=None):
+        raise RuntimeError("hardware on fire")
+
+async def main():
+    service = RuntimeService(executor="thread")
+    circuit = library.bell_pair()
+    circuit.measure_all()
+    handle = await service.submit(circuit, FailingBackend(), shots=16)
+    await handle.wait(timeout=60)
+    client = service.stats()["clients"][handle.client]
+    report = {"id": handle.job_id, "status": handle.status(),
+              "failed_batches": client["failed_batches"]}
+    await service.drain()
+    await service.close()
+    print(json.dumps(report))
+
+asyncio.run(main())
+"""
+
+_STATUS_AFTER_RESTART = """
+import asyncio, json, sys
+from repro.service import RuntimeService
+
+async def main():
+    service = RuntimeService(executor="thread")
+    await service.recover()
+    status = service.status(json.loads(sys.argv[1])["id"])
+    await service.close()
+    print(json.dumps({"status": status}))
+
+asyncio.run(main())
+"""
+
+
+def test_failed_job_status_survives_restart_unchanged(tmp_path):
+    """One outcome per job: the live handle, the service's counters and
+    the recovered record all call a job whose backend raised "failed"."""
+    live, _ = run_driver_process(_FAILING_LIFE, cache_dir=tmp_path)
+    recovered, _ = run_driver_process(
+        _STATUS_AFTER_RESTART, {"id": live["id"]}, cache_dir=tmp_path
+    )
+    assert live["failed_batches"] == 1
+    assert live["status"] == recovered["status"] == "failed"

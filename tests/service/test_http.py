@@ -487,8 +487,8 @@ class TestWireHappyPath:
             events = list(client.events(handle.job_id, timeout=30))
         kinds = [kind for kind, _data in events]
         assert kinds == ["job", "settled"]
-        # The batch dispatched fine (settled status "done"); the job
-        # itself errored, which the per-job frame reports.
+        # The batch settles as "failed" because its job errored; the
+        # per-job frame reports the job's own status.
         assert events[0][1]["status"] == "error"
 
     def test_keep_alive_serves_many_requests_per_connection(self, server):
