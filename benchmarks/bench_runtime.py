@@ -30,6 +30,12 @@ assertion workload at 4096 shots through ``method="loop"`` (the per-shot
 walker) vs ``method="batched"`` (all shots of a tile evolve along a NumPy
 batch axis) — bit-identical counts, target >= 10x.
 
+The v5 kernel case times the engine alone (``Backend.run`` after
+``prepare``) on the paper's Table 1/2 circuits on ``trajectory:ibmqx4`` at
+8192 shots, repeated, and records the median and spread with the host.
+The batched path simulates only the 2-3 qubits those circuits touch and
+derives every shot's Philox substream in one vectorised pass.
+
 The v6/v7 benches storm the multi-tenant service layer (concurrent
 tenants vs back-to-back submissions, plus the write-ahead-journal tax);
 the v8 bench runs the same storm *over the HTTP wire* — OpenQASM + JSON
@@ -53,7 +59,7 @@ Every case also records its wall-clocks into ``BENCH_runtime.json`` (see
 import os
 import time
 
-from conftest import emit, record
+from conftest import emit, record, record_samples
 
 from repro.circuits import library
 from repro.core.injector import AssertionInjector
@@ -405,6 +411,51 @@ def test_batched_shot_axis_beats_per_shot_loop():
         f"method='loop'   : {loop_s:8.3f} s\n"
         f"method='batched': {batched_s:8.3f} s  (speedup {speedup:.1f}x, "
         "bit-identical counts)"
+    )
+
+
+def test_trajectory_engine_kernel_table_circuits():
+    """v5 kernel: the batched trajectory engine alone on Table 1/2.
+
+    The paper's Table 1/2 circuits touch 2-3 of ibmqx4's 5 qubits, so the
+    batched walker evolves ``2^2``/``2^3`` amplitudes per shot instead of
+    ``2^5``.  Timed at the engine layer only (no runtime, no pools), over
+    repeated 8192-shot runs at distinct seeds.  Counts are checked
+    bit-identical to the per-shot loop on a 256-shot prefix first.
+    """
+    from repro.experiments.table1 import build_table1_circuit
+    from repro.experiments.table2 import build_table2_circuit
+
+    shots, repeats = 8192, 9
+    backend = get_backend("trajectory:ibmqx4")
+    looped = TrajectoryDeviceBackend(ibmqx4(), method="loop")
+    lines = []
+    for name, build in (("table1", build_table1_circuit),
+                        ("table2", build_table2_circuit)):
+        circuit = build()[0]
+        backend.prepare(circuit)  # pay the transpile outside the timed region
+        assert dict(backend.run(circuit, shots=256, seed=SEED).counts) == dict(
+            looped.run(circuit, shots=256, seed=SEED).counts
+        )
+        samples = []
+        for repeat in range(repeats):
+            start = time.perf_counter()
+            result = backend.run(circuit, shots=shots, seed=SEED + repeat)
+            samples.append(time.perf_counter() - start)
+            assert result.counts.shots == shots
+        record_samples(
+            f"trajectory_engine_{name}", samples, shots=shots,
+            qubits=circuit.num_qubits, device="ibmqx4",
+        )
+        samples.sort()
+        lines.append(
+            f"{name:<7}: median {samples[repeats // 2] * 1e3:7.1f} ms  "
+            f"(min {samples[0] * 1e3:.1f}, max {samples[-1] * 1e3:.1f}, "
+            f"{repeats} repeats)"
+        )
+    emit(
+        "runtime bench — trajectory engine kernel, Table 1/2 on "
+        f"trajectory:ibmqx4, {shots} shots\n" + "\n".join(lines)
     )
 
 

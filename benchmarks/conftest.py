@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
+
+import numpy as np
 
 #: Case name -> {"baseline_s", "optimized_s", "speedup", ...} fields.
 _BENCH_RESULTS: dict = {}
@@ -41,6 +44,29 @@ def record(case: str, baseline_s: float, optimized_s: float, **extra) -> None:
         speedup=round(float(baseline_s) / float(optimized_s), 3)
         if optimized_s > 0
         else None,
+        **extra,
+    )
+
+
+def record_samples(case: str, samples_s, **extra) -> None:
+    """Record one bench case's repeated wall-clocks as a distribution.
+
+    Stores the median and the spread (interquartile range, plus min and
+    max), the repeat count and the host (cpu count, numpy version), so a
+    single number is never read without the noise around it.
+    """
+    samples = sorted(float(s) for s in samples_s)
+    q1, _, q3 = (
+        statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
+    )
+    _BENCH_RESULTS[case] = dict(
+        median_s=round(statistics.median(samples), 6),
+        iqr_s=round(q3 - q1, 6),
+        min_s=round(samples[0], 6),
+        max_s=round(samples[-1], 6),
+        repeats=len(samples),
+        cpu_count=os.cpu_count(),
+        numpy=np.__version__,
         **extra,
     )
 

@@ -328,7 +328,8 @@ class TrajectoryDeviceBackend(DeviceBackend):
 
     @property
     def cost_tag(self) -> str:
-        """Cost-model discriminator: batched and looped costs differ ~10x,
-        so they must not share one per-shot EWMA (see
-        :func:`repro.runtime.profile.profile_key`)."""
+        """Cost-model discriminator: batched and looped per-shot costs
+        differ by 50-140x on the Table 1/2 circuits and ~24x on a 5-qubit
+        assertion circuit (2-core host), so they must not share one
+        per-shot EWMA (see :func:`repro.runtime.profile.profile_key`)."""
         return self.resolved_method

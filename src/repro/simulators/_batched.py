@@ -15,15 +15,27 @@ Every trajectory draws from its **own counter-based substream**: shot ``t``
 of a run seeded ``s`` uses ``Philox(SeedSequence(s).spawn(shots)[t])``, and
 consumes one uniform per stochastic decision it actually executes (Kraus
 branch choice, measurement outcome, readout flip, reset), in program order.
-The batched path pre-generates each trajectory's uniforms and advances a
-per-row cursor; the retained loop path (``method="loop"``, also the
-fallback for duck-typed noise models) draws the same uniforms sequentially
-from the same substream.  Both paths share the per-trajectory decision
-arithmetic (the batched kernels are row-wise bitwise deterministic, and the
-loop path runs them at batch width 1), so batched and looped counts are
-bit-identical for a fixed seed at **every** ``max_batch`` tiling — which is
-what lets the runtime's chunk-seed plan, dedup and cost model treat
-``method`` and ``max_batch`` as pure throughput knobs.
+The retained loop path (``method="loop"``, also the fallback for
+duck-typed noise models) builds each child ``SeedSequence`` and
+``Generator(Philox)`` with numpy and draws sequentially.  The batched path
+derives the same uniforms for a whole tile in one vectorised pass
+(:func:`substream_uniforms`): the ``SeedSequence`` hash-mix over the
+tile's spawn-index column, then Philox4x64-10 over every row's counters —
+bit-for-bit numpy's values, keyed by ``(root entropy, t)`` only, so they
+never depend on the tiling.  It then advances a per-row cursor.  Both paths
+share the per-trajectory decision arithmetic (the batched kernels are
+row-wise bitwise deterministic, and the loop path runs them at batch
+width 1), so batched and looped counts are bit-identical for a fixed seed
+at **every** ``max_batch`` tiling — which is what lets the runtime's
+chunk-seed plan, dedup and cost model treat ``method`` and ``max_batch``
+as pure throughput knobs.
+
+Without an ``initial_state`` the batched path simulates only the qubits
+some instruction touches (gate operand, Kraus target, measure or reset),
+in their original order.  An untouched qubit stays exactly ``|0>``, and
+each kernel's per-trajectory sums merely drop the ``+0.0`` terms such a
+qubit would add, so the counts are the same as at full width.  The loop
+path stays full-width.
 
 The loop fallback is taken when the noise model is duck-typed (anything
 that is not a :class:`repro.noise.model.NoiseModel`): its ``channels_for``
@@ -46,7 +58,8 @@ METHODS = ("auto", "batched", "loop")
 
 #: Default shot-tiling bound: big enough to amortise kernel dispatch,
 #: small enough that ``B * 2^n`` (plus one Kraus branch copy per operator)
-#: stays cache- and memory-friendly for the paper's circuit sizes.
+#: stays cache- and memory-friendly for the paper's circuit sizes.  ``n``
+#: counts the qubits the circuit touches, not the device width.
 DEFAULT_MAX_BATCH = 1024
 
 _GATE = "gate"
@@ -112,17 +125,159 @@ def substream_generator(child: np.random.SeedSequence) -> np.random.Generator:
 
 
 # ----------------------------------------------------------------------
+# Vectorised substream derivation (batched path)
+# ----------------------------------------------------------------------
+#
+# The batched path needs, per tile, the first ``d`` uniforms of every
+# trajectory's substream.  Building a SeedSequence and a Philox generator
+# per row costs ~22 us in Python, so the two numpy algorithms are
+# restated here over a ``(B,)`` row axis.  The constants and the order of
+# operations follow numpy's ``bit_generator.pyx`` (SeedSequence) and
+# Random123's ``philox.h``; ``tests/simulators/test_batched.py`` checks
+# the output against numpy itself.
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+
+def _entropy_words(entropy) -> List[int]:
+    """Split ``SeedSequence.entropy`` into numpy's little-endian uint32 words."""
+    if isinstance(entropy, np.ndarray) and entropy.dtype == np.uint32:
+        return [int(word) for word in entropy]
+    if isinstance(entropy, (int, np.integer)):
+        value = int(entropy)
+        words = [value & _MASK32]
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+        return words
+    return [word for item in entropy for word in _entropy_words(item)]
+
+
+class _HashMix:
+    """SeedSequence's ``hashmix`` with its running multiplier.
+
+    ``generate_state`` hashes the pool with the same steps under its own
+    constants (``_INIT_B``/``_MULT_B``).
+    """
+
+    def __init__(self, init: int = _INIT_A, mult: int = _MULT_A) -> None:
+        self.const = init
+        self.mult = mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = (self.const * self.mult) & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def substream_keys(entropy, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Return the Philox keys of spawned children ``indices`` of a root.
+
+    Row ``r`` equals ``Philox(SeedSequence(entropy, spawn_key=(t,)))``'s
+    key for ``t = indices[r]``, i.e. the key of
+    ``SeedSequence(entropy).spawn(n)[t]``, as two ``(B,)`` uint64 words.
+    The root's entropy words are the same for every row, so they are mixed
+    into the pool once; only the spawn index varies by row.  numpy encodes
+    an index of ``2**32`` or more as two words, and such rows take one
+    more mixing round.
+    """
+    indices = np.asarray(indices, dtype=np.uint64)
+    words = _entropy_words(entropy)
+    words += [0] * (_POOL_SIZE - len(words))  # numpy pads when spawn-keyed
+    hashmix = _HashMix()
+    pool = [hashmix(np.array([word], dtype=np.uint32)) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    low = (indices & np.uint64(_MASK32)).astype(np.uint32)
+    high = (indices >> np.uint64(32)).astype(np.uint32)
+    tail = [np.array([word], dtype=np.uint32) for word in words[_POOL_SIZE:]]
+    for word in tail + [low]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    if high.any():
+        two_words = high != 0
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(two_words, _mix(pool[dst], hashmix(high)), pool[dst])
+    # generate_state(2, np.uint64): four uint32 words, paired little-endian.
+    output_hash = _HashMix(_INIT_B, _MULT_B)
+    state = [output_hash(word).astype(np.uint64) for word in pool]
+    shift = np.uint64(32)
+    return state[0] | (state[1] << shift), state[2] | (state[3] << shift)
+
+
+def _mulhilo(multiplier: int, value: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Return the high and low 64-bit words of ``multiplier * value``."""
+    mask, shift = np.uint64(_MASK32), np.uint64(32)
+    m_lo, m_hi = np.uint64(multiplier & _MASK32), np.uint64(multiplier >> 32)
+    v_lo, v_hi = value & mask, value >> shift
+    cross = v_hi * m_lo + ((v_lo * m_lo) >> shift)
+    carry = v_lo * m_hi + (cross & mask)
+    high = v_hi * m_hi + (cross >> shift) + (carry >> shift)
+    return high, value * np.uint64(multiplier)
+
+
+def substream_uniforms(entropy, start: int, count: int, draws: int) -> np.ndarray:
+    """Return trajectories ``start..start+count-1``'s first ``draws`` uniforms.
+
+    Row ``r`` equals ``substream_generator(SeedSequence(entropy).spawn(n)
+    [start + r]).random(draws)`` bit for bit: Philox4x64-10 blocks from
+    counter 1 under each row's key, each 64-bit output mapped to
+    ``(raw >> 11) * 2**-53``.  The result depends only on the entropy and
+    the trajectory indices, never on ``start``/``count`` tiling.
+    """
+    blocks = -(-draws // 4)
+    indices = np.arange(start, start + count, dtype=np.uint64)
+    key0, key1 = (key[:, np.newaxis] for key in substream_keys(entropy, indices))
+    ctr0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (count, blocks))
+    ctr1 = ctr2 = ctr3 = np.zeros((count, blocks), dtype=np.uint64)
+    for round_index in range(_PHILOX_ROUNDS):
+        if round_index:
+            key0, key1 = key0 + _PHILOX_W0, key1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(_PHILOX_M0, ctr0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, ctr2)
+        ctr0, ctr1, ctr2, ctr3 = hi1 ^ ctr1 ^ key0, lo1, hi0 ^ ctr3 ^ key1, lo0
+    raw = np.stack([ctr0, ctr1, ctr2, ctr3], axis=-1).reshape(count, 4 * blocks)
+    return (raw[:, :draws] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+# ----------------------------------------------------------------------
 # Program construction (batched path)
 # ----------------------------------------------------------------------
 
 
-def build_program(circuit, noise_model) -> List[tuple]:
-    """Compile ``circuit.data`` to a flat step list for the batched walker.
+def build_program(circuit, noise_model, compact: bool = True) -> Tuple[List[tuple], int]:
+    """Compile ``circuit.data`` to ``(steps, width)`` for the batched walker.
 
-    Each step is ``(kind, ..., condition)``; the noise model is queried
-    exactly once per instruction (it must therefore pass
-    :func:`supports_batching`).  Raises on non-gate unitaries, exactly as
-    the per-shot walker would.
+    Each step is ``(kind, qubits, payload, condition)``; the noise model is
+    queried exactly once per instruction (it must therefore pass
+    :func:`supports_batching`), always with the circuit's own qubit
+    indices.  With ``compact`` the steps then address only the qubits some
+    step touches, renumbered ``0..width-1`` in their original order;
+    otherwise ``width`` is the circuit's qubit count.  Raises on non-gate
+    unitaries, exactly as the per-shot walker would.
     """
     steps: List[tuple] = []
     for inst in circuit.data:
@@ -136,27 +291,35 @@ def build_program(circuit, noise_model) -> List[tuple]:
                 if noise_model is not None
                 else None
             )
-            steps.append((_MEASURE, qubit, clbit, confusion, condition))
+            steps.append((_MEASURE, (qubit,), (clbit, confusion), condition))
         elif inst.name == "reset":
-            steps.append((_RESET, inst.qubits[0], condition))
+            steps.append((_RESET, (inst.qubits[0],), None, condition))
         else:
             op = inst.operation
             if not isinstance(op, Gate):
                 raise SimulationError(f"cannot apply non-gate {op.name!r}")
-            steps.append((_GATE, op.matrix, tuple(inst.qubits), condition))
+            steps.append((_GATE, tuple(inst.qubits), op.matrix, condition))
             if noise_model is not None:
                 for kraus, targets in noise_model.channels_for(inst):
-                    steps.append((_KRAUS, tuple(kraus), tuple(targets), condition))
-    return steps
+                    steps.append((_KRAUS, tuple(targets), tuple(kraus), condition))
+    if not compact:
+        return steps, circuit.num_qubits
+    active = sorted({qubit for step in steps for qubit in step[1]})
+    axis = {qubit: index for index, qubit in enumerate(active)}
+    steps = [
+        (kind, tuple(axis[qubit] for qubit in qubits), payload, condition)
+        for kind, qubits, payload, condition in steps
+    ]
+    return steps, len(active)
 
 
 def _max_draws(steps: List[tuple]) -> int:
     """Upper bound on the uniforms any one trajectory consumes."""
     draws = 0
-    for step in steps:
-        if step[0] == _MEASURE:
-            draws += 1 + (1 if step[3] is not None else 0)
-        elif step[0] in (_RESET, _KRAUS):
+    for kind, _, payload, _ in steps:
+        if kind == _MEASURE:
+            draws += 1 + (1 if payload[1] is not None else 0)
+        elif kind in (_RESET, _KRAUS):
             draws += 1
     return draws
 
@@ -204,20 +367,18 @@ def run_batched(
     steps: List[tuple],
     num_qubits: int,
     num_clbits: int,
-    children: List[np.random.SeedSequence],
+    entropy,
+    shots: int,
     initial_state: Optional[np.ndarray],
     max_batch: int = DEFAULT_MAX_BATCH,
 ) -> Dict[str, int]:
-    """Simulate every trajectory substream in ``max_batch``-sized tiles."""
+    """Simulate trajectories ``0..shots-1`` of root ``entropy`` in tiles."""
     counts: Dict[str, int] = {}
     draws = _max_draws(steps)
-    for start in range(0, len(children), max_batch):
-        tile = children[start : start + max_batch]
-        batch = len(tile)
+    for start in range(0, shots, max_batch):
+        batch = min(max_batch, shots - start)
         if draws:
-            uniforms = np.empty((batch, draws))
-            for row, child in enumerate(tile):
-                uniforms[row] = substream_generator(child).random(draws)
+            uniforms = substream_uniforms(entropy, start, batch, draws)
         else:
             uniforms = np.empty((batch, 0))
         cursor = np.zeros(batch, dtype=np.intp)
@@ -230,8 +391,7 @@ def run_batched(
             cursor[rows] += 1
             return values
 
-        for step in steps:
-            condition = step[-1]
+        for kind, qubits, payload, condition in steps:
             if condition is None:
                 rows = all_rows
             else:
@@ -239,22 +399,17 @@ def run_batched(
                 rows = np.nonzero(clbits[:, clbit] == value)[0]
                 if rows.shape[0] == 0:
                     continue
-            kind = step[0]
+            sub = states if rows is all_rows else states[..., rows]
             if kind == _GATE:
-                _, matrix, qubits, _ = step
-                sub = states if rows is all_rows else states[..., rows]
                 states = _apply_rows(
-                    states, rows, _kernels.batched_apply_matrix(sub, matrix, qubits)
+                    states, rows, _kernels.batched_apply_matrix(sub, payload, qubits)
                 )
             elif kind == _KRAUS:
-                _, operators, targets, _ = step
-                sub = states if rows is all_rows else states[..., rows]
                 states = _apply_rows(
-                    states, rows, _sample_kraus_rows(sub, operators, targets, take(rows))
+                    states, rows, _sample_kraus_rows(sub, payload, qubits, take(rows))
                 )
             elif kind == _MEASURE:
-                _, qubit, clbit, confusion, _ = step
-                sub = states if rows is all_rows else states[..., rows]
+                (qubit,), (clbit, confusion) = qubits, payload
                 p_one = _kernels.batched_probability_of_one(sub, qubit)
                 outcomes = (take(rows) < p_one).astype(np.uint8)
                 collapsed, _ = _kernels.batched_collapse(sub, qubit, outcomes)
@@ -268,8 +423,7 @@ def run_batched(
                     recorded = outcomes ^ flips
                 clbits[rows, clbit] = recorded
             elif kind == _RESET:
-                _, qubit, _ = step
-                sub = states if rows is all_rows else states[..., rows]
+                (qubit,) = qubits
                 p_one = _kernels.batched_probability_of_one(sub, qubit)
                 outcomes = (take(rows) < p_one).astype(np.uint8)
                 collapsed, _ = _kernels.batched_collapse(sub, qubit, outcomes)
@@ -414,23 +568,29 @@ def sample_shots(
 ) -> Tuple[Dict[str, int], str]:
     """Sample ``shots`` trajectories; returns ``(counts, resolved method)``.
 
-    The one entry point both sampling engines call: resolves ``method``,
-    spawns the per-trajectory substreams, and dispatches to the batched or
-    loop walker — whose counts agree bit-for-bit wherever both apply.
+    The one entry point both sampling engines call: resolves ``method``
+    and dispatches to the batched walker (compacted to the touched qubits
+    unless ``initial_state`` is given, with substreams keyed by the root
+    seed's entropy) or the loop walker (full width, one numpy generator
+    per shot) — whose counts agree bit-for-bit wherever both apply.
     """
     resolved = resolve_method(method, noise_model)
     max_batch = validate_max_batch(max_batch)
-    children = spawn_substreams(seed, shots)
     if resolved == "batched":
-        steps = build_program(circuit, noise_model)
+        steps, width = build_program(
+            circuit, noise_model, compact=initial_state is None
+        )
         counts = run_batched(
             steps,
-            circuit.num_qubits,
+            width,
             circuit.num_clbits,
-            children,
+            np.random.SeedSequence(seed).entropy,
+            shots,
             initial_state,
             max_batch,
         )
     else:
-        counts = run_loop(circuit, noise_model, children, initial_state)
+        counts = run_loop(
+            circuit, noise_model, spawn_substreams(seed, shots), initial_state
+        )
     return counts, resolved
